@@ -15,13 +15,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import resource
 import sys
 import time
 
 T_START = time.perf_counter()
 
-from lib import Tracer, build_stream, use_program  # noqa: E402
+from lib import Tracer, build_stream, pin, steal_s, stolen, use_program  # noqa: E402
 
 POLICY = "librarisk"
 
@@ -44,11 +45,15 @@ def run_pass(seed: int, k: int, trace: bool, setup_only: bool) -> dict:
     print("ready", flush=True)
     if setup_only:
         return {}
+    # Set-up ran unpinned, like the service's and the fleet's; the timed
+    # phase runs on one CPU.
+    pin(os.getpid(), 0)
 
     tracer = Tracer()
     latencies: list[float] = []
     clock = time.perf_counter
     cpu0 = time.process_time()
+    steal0 = steal_s()
     t0 = clock()
     if trace:
         root = tracer.add("pass.timed", t0, t0)
@@ -67,6 +72,7 @@ def run_pass(seed: int, k: int, trace: bool, setup_only: bool) -> dict:
             engine.submit(job)
             latencies.append(clock() - a)
     timed_s = clock() - t0
+    stolen_s = stolen(steal0, steal_s(), [0])
     cpu_s = time.process_time() - cpu0
     if trace:
         tracer.spans[root] = ("pass.timed", t0, t0 + timed_s, -1, k)
@@ -98,6 +104,7 @@ def run_pass(seed: int, k: int, trace: bool, setup_only: bool) -> dict:
     return {
         "generate_s": generate_s,
         "timed_s": timed_s,
+        "stolen_s": stolen_s,
         "cpu_s": cpu_s,
         "latencies": latencies,
         "peak_rss_mb": peak_rss_mb,

@@ -295,6 +295,12 @@ def _running(pid: int) -> bool:
 
 #: The CPUs this run may use, in order.
 CPUS = sorted(os.sched_getaffinity(0))
+TICKS_PER_S = os.sysconf("SC_CLK_TCK")
+
+
+def cpu_of(index: int) -> int:
+    """The id of the ``index``-th usable CPU (wrapping round)."""
+    return CPUS[index % len(CPUS)]
 
 
 def pin(pid: int, index: int) -> None:
@@ -306,7 +312,7 @@ def pin(pid: int, index: int) -> None:
     host load costs milliseconds at random; processes that only take
     turns are therefore pinned to one CPU for the timed phase.
     """
-    cpu = {CPUS[index % len(CPUS)]}
+    cpu = {cpu_of(index)}
     for tid in os.listdir(f"/proc/{pid}/task"):
         try:
             os.sched_setaffinity(int(tid), cpu)
@@ -362,6 +368,29 @@ def cpu_ticks() -> tuple[int, int]:
     with open("/proc/stat") as fp:
         fields = [int(x) for x in fp.readline().split()[1:]]
     return (fields[7] if len(fields) > 7 else 0), sum(fields)
+
+
+def steal_s() -> dict[int, float]:
+    """Seconds of steal so far per CPU id, from the ``cpuN`` lines of ``/proc/stat``.
+
+    A CPU accrues steal only while it has work to run, so the steal of
+    the CPUs a timed phase is pinned to is time the hypervisor took from
+    that phase.
+    """
+    out: dict[int, float] = {}
+    with open("/proc/stat") as fp:
+        for line in fp:
+            name, *fields = line.split()
+            if name.startswith("cpu") and name[3:].isdigit() and len(fields) > 7:
+                out[int(name[3:])] = int(fields[7]) / TICKS_PER_S
+    return out
+
+
+def stolen(before: dict[int, float], after: dict[int, float], indices: Sequence[int]) -> float:
+    """Mean steal seconds between two :func:`steal_s` readings over the
+    CPUs that :func:`pin` calls ``indices``."""
+    cpus = {cpu_of(i) for i in indices}
+    return sum(after[c] - before[c] for c in cpus) / len(cpus)
 
 
 def prom_value(text: str, name: str, labels: str = "") -> float:
