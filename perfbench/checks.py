@@ -158,40 +158,6 @@ def same_decisions(
                       f"{label}: {key} {mine.get(key, '')!r} != {theirs.get(key, '')!r}")
 
 
-def space_shared(jobs: Iterable[Mapping[str, Any]]) -> None:
-    """On every node the ``[start, finish)`` intervals of its jobs never overlap."""
-    by_node: dict[int, list[tuple[float, float, int]]] = {}
-    for job in jobs:
-        if job["state"] not in STARTED or "finish_time" not in job:
-            continue
-        for node in job.get("assigned_nodes", []):
-            by_node.setdefault(node, []).append(
-                (job["start_time"], job["finish_time"], job["id"])
-            )
-    for node, spans in by_node.items():
-        spans.sort()
-        for (_, prev_end, prev_id), (start, _, job_id) in zip(spans, spans[1:]):
-            if start < prev_end - TIME_TOL:
-                _fail(job_id, f"overlaps job {prev_id} on node {node}")
-
-
-def edf_dispatch_test(jobs: Iterable[Mapping[str, Any]]) -> None:
-    """Every started job passed ``start + estimated_runtime <= absolute deadline``."""
-    for job in jobs:
-        if job["state"] not in STARTED:
-            continue
-        if job["start_time"] + job["estimated_runtime"] > job["submit_time"] + job["deadline"] + TIME_TOL:
-            _fail(job["id"], "started although start + estimate passes its deadline")
-
-
-def accurate_estimates_meet_deadlines(jobs: Iterable[Mapping[str, Any]]) -> None:
-    """A started job whose runtime <= its estimate met its deadline."""
-    for job in jobs:
-        if job["state"] in STARTED and job["runtime"] <= job["estimated_runtime"]:
-            if not deadline_met(job):
-                _fail(job["id"], "accurate estimate but missed its deadline")
-
-
 def shard_owner(job_id: int, shards: int) -> int:
     """Owner shard computed here, apart from the router: crc32 of ``job:<id>``."""
     return zlib.crc32(b"job:%d" % job_id) % shards

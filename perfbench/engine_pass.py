@@ -28,7 +28,7 @@ POLICY = "librarisk"
 
 
 #: Restores timed per pass (recover_s is their median).
-RESTORES = 3
+RESTORES = 9
 
 
 def run_pass(seed: int, k: int, trace: bool, setup_only: bool) -> dict:
@@ -45,7 +45,7 @@ def run_pass(seed: int, k: int, trace: bool, setup_only: bool) -> dict:
     print("ready", flush=True)
     if setup_only:
         return {}
-    # Set-up ran unpinned, like the service's and the fleet's; the timed
+    # Set-up ran unpinned, like the fleet's; the timed
     # phase runs on one CPU.
     pin(os.getpid(), 0)
 

@@ -2,7 +2,7 @@
 
 Streams, the percentile rule, span recording and the process plumbing
 (ports, spawning ``repro serve``, readiness, CPU and memory readings from
-``/proc``) live here so that the three workloads in :mod:`run` measure
+``/proc``) live here so that the workloads in :mod:`run` measure
 the same way.  Nothing in this module imports the program at import
 time: the program is imported only after :func:`use_program` has checked
 that its sources are present.
@@ -13,6 +13,7 @@ from __future__ import annotations
 import http.client
 import math
 import os
+import random
 import shutil
 import signal
 import socket
@@ -41,6 +42,8 @@ SHARDS = 2
 #: Fewest samples under which a p99 is withheld (nearest rank then has
 #: at least ten samples beyond it).
 P99_MIN_SAMPLES = 1000
+#: Lowest port a fleet may bind (clear of the usual service ports).
+FLEET_PORT_FLOOR = 20000
 READY_POLL_S = 0.002
 READY_TIMEOUT_S = 60.0
 STOP_TIMEOUT_S = 15.0
@@ -173,18 +176,33 @@ class Tracer:
 
 # -- processes -----------------------------------------------------------------
 
+def ephemeral_low() -> int:
+    """The lowest port the kernel hands out as a connection's source port."""
+    try:
+        with open("/proc/sys/net/ipv4/ip_local_port_range") as fp:
+            return int(fp.read().split()[0])
+    except (OSError, ValueError, IndexError):
+        return 32768
+
+
 def free_base_port(width: int) -> int:
-    """A port ``p`` from ``free_ports`` with ``p .. p+width-1`` all free.
+    """A port ``p`` below the ephemeral range with ``p .. p+width-1`` all free.
 
     ``repro serve --shards N --port p`` binds the router on ``p`` and
-    shard ``i`` on ``p + 1 + i``, so the whole range must be free.
+    shard ``i`` on ``p + 1 + i``, so the whole range must be free.  Its
+    supervisor polls each shard's ``/healthz`` before the shard has
+    bound; a poll to a port inside the ephemeral range can be given that
+    same port as its source and connect to itself, read its own request
+    back and kill ``repro serve`` with ``BadStatusLine`` (CHANGES.md).
+    ``free_ports`` returns ports inside that range, so the fleet's ports
+    are drawn below it, where no connection takes its source port.
     """
-    from repro.service.sharding.supervisor import free_ports
-
+    low = ephemeral_low()
+    if low - width <= FLEET_PORT_FLOOR:
+        raise BenchError(f"no room for {width} ports below the ephemeral range at {low}")
+    rng = random.Random()
     for _ in range(200):
-        base = free_ports(1)[0]
-        if base + width > 65535:
-            continue
+        base = rng.randrange(FLEET_PORT_FLOOR, low - width)
         probes = []
         try:
             for port in range(base, base + width):
@@ -228,7 +246,7 @@ class Program:
                 conn.request("GET", "/healthz")
                 if conn.getresponse().status == 200:
                     return
-            except OSError:
+            except (OSError, http.client.HTTPException):
                 pass
             finally:
                 conn.close()
@@ -263,8 +281,8 @@ class Program:
 
         Nothing is left to flush when a pass stops its program: every
         WAL append was fsynced before its answer and the final state was
-        taken by RPC, so the group is killed outright (the http pass then
-        recovers from a crashed server's log).
+        taken by RPC, so the group is killed outright (the fleet pass then
+        recovers each shard from a crashed worker's log).
         """
         members = self.pids()
         _signal_group(self.proc.pid, signal.SIGKILL)

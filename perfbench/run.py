@@ -1,14 +1,13 @@
-"""Same-host benchmark of the admission controller at three levels.
+"""Same-host benchmark of the admission controller at two levels.
 
     python3 perfbench/run.py --workload W --seed N --seconds S --trace 0|1
 
 Workloads (all on the synthetic SDSC-SP2-like stream, 128 nodes of
 rating 168, closed loop: one sender, one request in flight):
 
-* ``engine-librarisk``  — an in-process ``AdmissionEngine`` (LibraRisk);
-* ``http-edf-wal``      — one ``repro serve --policy edf --wal`` process;
-* ``fleet-libra-batch`` — ``repro serve --shards 2 --policy libra`` fed
-  64-job batch frames.
+* ``engine-librarisk`` — an in-process ``AdmissionEngine`` (LibraRisk);
+* ``fleet-libra-wal``  — ``repro serve --shards 2 --policy libra --wal``
+  fed 64-job batch frames, then each shard rebuilt from its WAL.
 
 A run is a whole number of passes.  Each pass starts the program fresh,
 sends one fresh 3,000-job stream (pass ``k`` of seed ``N`` uses scenario
@@ -71,18 +70,18 @@ MIB = 1024.0 * 1024.0
 #: (2-core x86_64 container, Python 3.11); sizes a run from --seconds.
 PASS_SECONDS = {
     "engine-librarisk": 4.0,
-    "http-edf-wal": 10.0,
-    "fleet-libra-batch": 1.3,
+    "fleet-libra-wal": 1.6,
 }
 MIN_PASSES = 2
 #: Stream prefix decided again on a reference path (online decisions
 #: depend only on earlier jobs, so a prefix is a complete check of it).
 REFERENCE_PREFIX = 400
-#: WAL recoveries timed per http pass (recover_s is their median).
-RECOVERIES_PER_PASS = 3
+#: Timed recoveries of both shard WALs per fleet pass (recover_s is
+#: their median over the passes).
+FLEET_RECOVERIES = 1
 #: Fleet passes that also drain, checkpoint and restore the shards and
-#: check the checkpointed state (ownership, nodes, shares); recover_s
-#: and checkpoint_mb come from these.  Every pass checks its answers
+#: check the checkpointed state (ownership, nodes, shares);
+#: checkpoint_mb comes from these.  Every pass checks its answers
 #: against one in-process engine per shard: pass 0 on the whole stream,
 #: the others on the first FLEET_TWIN_PREFIX jobs (whole streams when
 #: traced, since the twins' admission times are the per-layer figures).
@@ -106,15 +105,24 @@ class Totals:
     cpu_s: float = 0.0
     setup_s: list = field(default_factory=list)
     latencies: list = field(default_factory=list)
+    unstolen_latencies: list = field(default_factory=list)
     peak_rss_mb: list = field(default_factory=list)
     recover_s: list = field(default_factory=list)
     checkpoint_bytes: list = field(default_factory=list)
+
+    def add_latencies(self, latencies: list, timed_s: float, stolen_s: float) -> None:
+        """One pass's call latencies, as timed and scaled by the share of
+        its timed phase the hypervisor did not steal from the pinned CPUs
+        (the same seconds ``jobs_per_s`` leaves out)."""
+        self.latencies.extend(latencies)
+        kept = 1.0 - stolen_s / timed_s
+        self.unstolen_latencies.extend(x * kept for x in latencies)
 
     def end_to_end(self) -> dict[str, tuple[float, str]]:
         return {
             "setup_s": (median(self.setup_s), "s"),
             "jobs_per_s": (self.jobs / (self.timed_s - self.stolen_s), "jobs/s"),
-            "latency_p50_ms": (median(self.latencies) * 1e3, "ms"),
+            "latency_p50_ms": (median(self.unstolen_latencies) * 1e3, "ms"),
             "cpu_ms_per_job": (self.cpu_s * 1e3 / self.jobs, "ms"),
             "peak_rss_mb": (median(self.peak_rss_mb), "MiB"),
             "recover_s": (median(self.recover_s), "s"),
@@ -304,7 +312,7 @@ def engine_librarisk(run: Run) -> None:
         t.jobs += len(res["stream_ids"])
         t.timed_s += res["timed_s"]
         t.cpu_s += res["cpu_s"]
-        t.latencies.extend(res["latencies"])
+        t.add_latencies(res["latencies"], res["timed_s"], res["stolen_s"])
         t.stolen_s += res["stolen_s"]
         t.peak_rss_mb.append(res["peak_rss_mb"])
         t.recover_s.extend(res["restore_s"])
@@ -335,7 +343,7 @@ def engine_librarisk(run: Run) -> None:
         t.setup_s.append(_engine_child(run, len(t.setup_s), False, setup_only=True)[1])
 
 
-# -- http-edf-wal --------------------------------------------------------------
+# -- fleet-libra-wal: client, twins and replays ----------------------------------
 
 class ConnectionCounter:
     """Counts TCP connections the client opens while installed."""
@@ -421,210 +429,43 @@ def _ok(label: str, status: int, resp: dict) -> dict:
     return resp
 
 
-def _http_start(run: Run, k: int) -> tuple[list, float, Path, Program, float]:
-    """Generate pass ``k``'s stream and start a fresh server with an empty WAL."""
-    from repro.service.sharding.supervisor import free_ports
-
-    t0 = time.perf_counter()
-    jobs = build_stream("edf", run.seed, k)
-    generate_s = time.perf_counter() - t0
-    wal_path = run.workdir / f"pass{k}.wal"
-    prog = Program(["--policy", "edf", "--wal", str(wal_path)], free_ports(1)[0], run.workdir)
-    try:
-        prog.wait_ready()
-    except BaseException:
-        prog.stop()
-        raise
-    return jobs, generate_s, wal_path, prog, time.perf_counter() - t0
-
-
-def _http_pass(run: Run, k: int, traced: bool) -> dict:
-    """One http-edf-wal pass: fresh server + WAL, 3,000 submits, drain, checkpoint."""
-    from repro.service.engine import EngineConfig
-    from repro.service.loadgen import ServiceClient, job_request_payload
-
-    t, lay = run.totals, run.layers
-    jobs, generate_s, wal_path, prog, setup = _http_start(run, k)
-    try:
-        client = ServiceClient(prog.url, timeout=60.0)
-        pid = prog.proc.pid
-        # Sender and server take turns (one request in flight): one CPU.
-        pin(pid, 0)
-        pin(os.getpid(), 0)
-        before = prog.get("/metrics") if traced else ""
-        served: list[dict] = []
-        latencies: list[float] = []
-        clock = time.perf_counter
-        counter = ConnectionCounter()
-        srv0, cli0 = proc_cpu_s(pid), time.process_time()
-        steal0 = steal_s()
-        t_start = clock()
-        if traced:
-            root = run.tracer.add("pass.timed", t_start, t_start, -1, k)
-            with counter:
-                for job in jobs:
-                    a = clock()
-                    status, resp = client.submit(job)
-                    b = clock()
-                    run.tracer.add("loadgen.rpc", a, b, root, job.job_id)
-                    latencies.append(b - a)
-                    served.append(resp if status == 200 else {"ok": False, "status": status})
-        else:
-            for job in jobs:
-                a = clock()
-                status, resp = client.submit(job)
-                latencies.append(clock() - a)
-                served.append(resp if status == 200 else {"ok": False, "status": status})
-        timed_s = clock() - t_start
-        t.stolen_s += stolen(steal0, steal_s(), [0])
-        cli_cpu, srv_cpu = time.process_time() - cli0, proc_cpu_s(pid) - srv0
-        rss = proc_peak_rss_mb(pid)
-        if traced:
-            run.tracer.spans[root] = ("pass.timed", t_start, t_start + timed_s, -1, k)
-            after = prog.get("/metrics")
-            stats = _ok("stats", *client.stats())["stats"]
-            lay.events_fired += stats["events_fired"]
-            lay.add_cache(stats.get("cache", {}))
-        _ok("drain", *client.drain())
-        snapshot = _ok("checkpoint", *client.checkpoint())["snapshot"]
-    finally:
-        prog.stop()
-        unpin_self()
-
-    from repro.service import checkpoint, wal
-
-    failed = sum(1 for resp in served if not resp.get("ok"))
-    recoveries = []
-    for _ in range(RECOVERIES_PER_PASS):
-        a = time.perf_counter()
-        engine, report = wal.recover(str(wal_path))
-        recoveries.append(time.perf_counter() - a)
-        run.tracer.add("wal.recover", a, a + recoveries[-1], -1, k)
-    wal_path.unlink()
-
-    # Checks, apart from the measured path: the served answers against
-    # the engine recovered from the WAL and an in-process twin.
-    if failed:
-        bad = next(job.job_id for job, resp in zip(jobs, served) if not resp.get("ok"))
-        raise checks.CheckFailure(f"job {bad}: request not answered ok")
-    decisions = [resp["decision"] for resp in served]
-    stream_ids = [job.job_id for job in jobs]
-    checks.one_decision_per_job(stream_ids, decisions)
-    checks.same_decisions("recovered engine", decisions,
-                          [d.as_dict() for d in engine.decisions])
-    for job_id, resp in zip(stream_ids, served):
-        if resp.get("trace") != engine.trace_ids.get(job_id):
-            raise checks.CheckFailure(f"job {job_id}: served trace id differs from the WAL's")
-    twin_jobs = build_stream("edf", run.seed, k)
-    twin = _twin_engine(twin_jobs, EngineConfig(policy="edf"), run, traced)
-    checks.same_decisions("in-process engine", decisions, [d.as_dict() for d in twin.decisions])
-    for job_id, resp in zip(stream_ids, served):
-        if resp.get("trace") != twin.trace_ids.get(job_id):
-            raise checks.CheckFailure(f"job {job_id}: served trace id differs from in-process")
-    recovered = checkpoint.snapshot(engine)["jobs"]
-    checks.accepted_plus_rejected(recovered)
-    checks.all_finished(recovered)
-    checks.nodes_held(recovered, NODES)
-    checks.space_shared(recovered)
-    checks.edf_dispatch_test(recovered)
-    checks.accurate_estimates_meet_deadlines(recovered)
-
-    ckpt_bytes = len(checkpoint.dumps(snapshot).encode("utf-8"))
-    t.setup_s.append(setup)
-    t.jobs += len(jobs)
-    t.failed += failed
-    t.timed_s += timed_s
-    t.cpu_s += cli_cpu + srv_cpu
-    t.latencies.extend(latencies)
-    t.peak_rss_mb.append(rss)
-    t.recover_s.extend(recoveries)
-    t.checkpoint_bytes.append(ckpt_bytes)
-    if traced:
-        lay.jobs += len(jobs)
-        lay.generate_s.append(generate_s)
-        lay.rpc_s.extend(latencies)
-        lay.connections += counter.count
-        sub = 'type="submit"'
-        lay.handle_s += (prom_value(after, "service_request_seconds_sum", sub)
-                         - prom_value(before, "service_request_seconds_sum", sub))
-        lay.handle_n += int(prom_value(after, "service_request_seconds_count", sub)
-                            - prom_value(before, "service_request_seconds_count", sub))
-        lay.server_cpu_s += srv_cpu
-        lay.wal_append_s += (prom_value(after, "service_wal_append_seconds_sum")
-                             - prom_value(before, "service_wal_append_seconds_sum"))
-        lay.wal_appends += int(prom_value(after, "service_wal_append_seconds_count")
-                               - prom_value(before, "service_wal_append_seconds_count"))
-        lay.wal_fsyncs += int(prom_value(after, "service_wal_fsyncs")
-                              - prom_value(before, "service_wal_fsyncs"))
-        lay.wal_bytes += int(prom_value(after, "service_wal_bytes_written")
-                             - prom_value(before, "service_wal_bytes_written"))
-        lay.wal_recover_s.extend(recoveries)
-        lay.wal_records = report.wal_records
-        _protocol_replay(run, [
-            {"v": 1, "type": "submit", "job": job_request_payload(job)} for job in jobs
-        ])
-        _telemetry_replay(run, twin.trace_seed, decisions)
-        a = time.perf_counter()
-        text = checkpoint.dumps(checkpoint.snapshot(twin))
-        b = time.perf_counter()
-        doc = json.loads(text)
-        c = time.perf_counter()
-        checkpoint.restore(doc)
-        d = time.perf_counter()
-        lay.snapshot_s.append(b - a)
-        lay.restore_s.append(d - c)
-        lay.checkpoint_bytes.append(ckpt_bytes)
-    return {"decisions": decisions, "jobs_per_s": len(jobs) / timed_s}
-
-
-def http_edf_wal(run: Run) -> None:
-    if run.trace:
-        twin = _http_pass(run, 0, traced=False)
-        run.totals, run.layers, run.tracer = Totals(), Layers(), Tracer()
-        run.notes["untraced_pass0_jobs_per_s"] = twin["jobs_per_s"]
-    for k in range(run.passes):
-        res = _http_pass(run, k, run.trace)
-        if run.trace and k == 0:
-            checks.same_decisions("untraced twin", res["decisions"], twin["decisions"])
-            run.notes["traced_pass0_jobs_per_s"] = res["jobs_per_s"]
-    while len(run.totals.setup_s) < MIN_SETUP_SAMPLES:
-        _, _, wal_path, prog, setup = _http_start(run, len(run.totals.setup_s))
-        prog.stop()
-        wal_path.unlink()
-        run.totals.setup_s.append(setup)
-
-
-# -- fleet-libra-batch ---------------------------------------------------------
+# -- fleet-libra-wal -----------------------------------------------------------
 
 def _batch_seconds(text: str) -> float:
     return prom_value(text, "service_request_seconds_sum", 'type="batch"')
 
 
-def _fleet_start(run: Run, k: int) -> tuple[list, float, Program, float]:
-    """Generate pass ``k``'s stream and start a fresh router + shard workers."""
+def _fleet_start(run: Run, k: int) -> tuple[list, float, Path, Program, float]:
+    """Generate pass ``k``'s stream and start a fresh router + shard workers with empty WALs."""
     t0 = time.perf_counter()
     jobs = build_stream("libra", run.seed, k)
     generate_s = time.perf_counter() - t0
-    prog = Program(["--shards", str(SHARDS), "--policy", "libra"],
+    wal_base = run.workdir / f"pass{k}.wal"
+    prog = Program(["--shards", str(SHARDS), "--policy", "libra", "--wal", str(wal_base)],
                    free_base_port(1 + SHARDS), run.workdir)
     try:
         prog.wait_ready()
     except BaseException:
         prog.stop()
         raise
-    return jobs, generate_s, prog, time.perf_counter() - t0
+    return jobs, generate_s, wal_base, prog, time.perf_counter() - t0
+
+
+def _wal_delta(before: list, after: list, name: str) -> float:
+    """A WAL counter's growth summed over the shard workers' ``/metrics``."""
+    return sum(prom_value(a, name) - prom_value(b, name) for b, a in zip(before, after))
 
 
 def _fleet_pass(run: Run, k: int, traced: bool) -> dict:
-    """One fleet pass: fresh router + 2 workers, 47 batch frames, drain, checkpoint."""
-    from repro.service import checkpoint
+    """One fleet pass: fresh router + 2 workers with WALs, 47 batch frames, WAL recovery."""
+    from repro.service import checkpoint, wal
     from repro.service.engine import EngineConfig
     from repro.service.loadgen import ServiceClient, job_request_payload
     from repro.service.sharding.paths import shard_path
     from repro.service.sharding.partition import plan_shards
 
     t, lay = run.totals, run.layers
-    jobs, generate_s, prog, setup = _fleet_start(run, k)
+    jobs, generate_s, wal_base, prog, setup = _fleet_start(run, k)
     ckpt_base = run.workdir / f"pass{k}.ckpt"
     frames = [jobs[i:i + BATCH] for i in range(0, len(jobs), BATCH)]
     worker_ports = [prog.port + 1 + i for i in range(SHARDS)]
@@ -649,7 +490,8 @@ def _fleet_pass(run: Run, k: int, traced: bool) -> dict:
         t_start = clock()
         if traced:
             root = run.tracer.add("pass.timed", t_start, t_start, -1, k)
-            busy = [_batch_seconds(prog.get("/metrics", port)) for port in worker_ports]
+            first = [prog.get("/metrics", port) for port in worker_ports]
+            busy = [_batch_seconds(text) for text in first]
             for i, frame in enumerate(frames):
                 with counter:
                     a = clock()
@@ -660,7 +502,8 @@ def _fleet_pass(run: Run, k: int, traced: bool) -> dict:
                 served.append(resp if status == 200 else {"ok": False, "status": status})
                 # Each worker's own handling time of this frame, from
                 # its /metrics; the slowest one holds the frame up.
-                now = [_batch_seconds(prog.get("/metrics", port)) for port in worker_ports]
+                texts = [prog.get("/metrics", port) for port in worker_ports]
+                now = [_batch_seconds(text) for text in texts]
                 lay.shard_handle_s.append(max(n - o for n, o in zip(now, busy)))
                 for shard in range(SHARDS):
                     lay.shard_busy_s[shard] += now[shard] - busy[shard]
@@ -672,7 +515,7 @@ def _fleet_pass(run: Run, k: int, traced: bool) -> dict:
                 latencies.append(clock() - a)
                 served.append(resp if status == 200 else {"ok": False, "status": status})
         timed_s = clock() - t_start
-        t.stolen_s += stolen(steal0, steal_s(), range(SHARDS))
+        pass_stolen_s = stolen(steal0, steal_s(), range(SHARDS))
         cli_cpu = time.process_time() - cli0
         cpu = [proc_cpu_s(pid) - c0 for pid, c0 in zip(pids, cpu0)]
         rss = sum(proc_peak_rss_mb(pid) for pid in pids)
@@ -683,6 +526,10 @@ def _fleet_pass(run: Run, k: int, traced: bool) -> dict:
                 lay.add_cache(shard_stats.get("cache", {}))
                 lay.events_fired += shard_stats["events_fired"]
                 lay.shard_jobs[int(shard)] += shard_stats["submitted"]
+            lay.wal_append_s += _wal_delta(first, texts, "service_wal_append_seconds_sum")
+            lay.wal_appends += int(_wal_delta(first, texts, "service_wal_append_seconds_count"))
+            lay.wal_fsyncs += int(_wal_delta(first, texts, "service_wal_fsyncs"))
+            lay.wal_bytes += int(_wal_delta(first, texts, "service_wal_bytes_written"))
         deep = k < FLEET_DEEP_PASSES
         if deep:
             _ok("drain", *client.drain())
@@ -692,6 +539,17 @@ def _fleet_pass(run: Run, k: int, traced: bool) -> dict:
     finally:
         prog.stop()
         unpin_self()
+
+    # A crash of the whole fleet: each shard's engine rebuilt from its WAL.
+    wal_paths = [Path(shard_path(str(wal_base), i, SHARDS)) for i in range(SHARDS)]
+    recoveries = []
+    for _ in range(FLEET_RECOVERIES):
+        a = time.perf_counter()
+        recovered = [wal.recover(str(path)) for path in wal_paths]
+        recoveries.append(time.perf_counter() - a)
+        run.tracer.add("wal.recover", a, a + recoveries[-1], -1, k)
+    for path in wal_paths:
+        path.unlink()
 
     items: list[dict] = []
     for frame, resp in zip(frames, served):
@@ -704,12 +562,23 @@ def _fleet_pass(run: Run, k: int, traced: bool) -> dict:
         bad = next(job.job_id for job, item in zip(jobs, items) if not item.get("ok"))
         raise checks.CheckFailure(f"job {bad}: batch item not answered ok")
 
-    # Checks: ownership and placements from the served state, outcomes
-    # and trace ids against one in-process engine per shard fed its own
+    # Checks: ownership from the recovered and checkpointed state;
+    # outcomes and trace ids against each shard's engine recovered from
+    # its WAL and against one in-process engine per shard fed its own
     # sub-stream (a trace id names the shard that minted it).
     stream_ids = [job.job_id for job in jobs]
     decisions = [item["decision"] for item in items]
     checks.one_decision_per_job(stream_ids, decisions)
+    by_id = {item["decision"]["job"]: item for item in items}
+    checks.owners([checkpoint.snapshot(engine)["jobs"] for engine, _ in recovered], stream_ids)
+    for shard, (engine, _) in enumerate(recovered):
+        want = [d.as_dict() for d in engine.decisions]
+        got = [by_id[d["job"]]["decision"] for d in want]
+        checks.same_decisions(f"shard {shard} engine recovered from its WAL", got, want)
+        for d in want:
+            if by_id[d["job"]].get("trace") != engine.trace_ids.get(d["job"]):
+                raise checks.CheckFailure(
+                    f"job {d['job']}: served trace id differs from shard {shard}'s WAL")
     configs = plan_shards(EngineConfig(policy="libra", num_nodes=NODES), SHARDS)
     if deep:
         paths = [Path(shard_path(str(ckpt_base), i, SHARDS)) for i in range(SHARDS)]
@@ -732,7 +601,6 @@ def _fleet_pass(run: Run, k: int, traced: bool) -> dict:
             checks.nodes_held(snap["jobs"], configs[shard].num_nodes)
             checks.share_at_most_one(snap["jobs"])
         ckpt_bytes = sum(len(checkpoint.dumps(snap).encode("utf-8")) for snap in snaps)
-        t.recover_s.extend(restores)
         t.checkpoint_bytes.append(ckpt_bytes)
         if traced:
             lay.snapshot_s.append(snapshot_s)
@@ -741,7 +609,6 @@ def _fleet_pass(run: Run, k: int, traced: bool) -> dict:
     twin_jobs = build_stream("libra", run.seed, k)
     if k > 0 and not traced:
         twin_jobs = twin_jobs[:FLEET_TWIN_PREFIX]
-    by_id = {item["decision"]["job"]: item for item in items}
     for shard in range(SHARDS):
         mine = [job for job in twin_jobs if checks.shard_owner(job.job_id, SHARDS) == shard]
         twin = _twin_engine(mine, configs[shard], run, traced)
@@ -757,9 +624,11 @@ def _fleet_pass(run: Run, k: int, traced: bool) -> dict:
     t.setup_s.append(setup)
     t.jobs += len(jobs)
     t.timed_s += timed_s
+    t.stolen_s += pass_stolen_s
     t.cpu_s += cli_cpu + sum(cpu)
-    t.latencies.extend(latencies)
+    t.add_latencies(latencies, timed_s, pass_stolen_s)
     t.peak_rss_mb.append(rss)
+    t.recover_s.extend(recoveries)
     if traced:
         lay.jobs += len(jobs)
         lay.generate_s.append(generate_s)
@@ -769,6 +638,8 @@ def _fleet_pass(run: Run, k: int, traced: bool) -> dict:
         lay.server_cpu_s += sum(cpu[1:])
         lay.handle_s += sum(lay.shard_handle_s[-len(frames):])
         lay.handle_n += len(frames)
+        lay.wal_recover_s.extend(recoveries)
+        lay.wal_records = sum(report.wal_records for _, report in recovered)
         _protocol_replay(run, [
             {"v": 1, "type": "batch", "jobs": [job_request_payload(job) for job in frame]}
             for frame in frames
@@ -776,7 +647,7 @@ def _fleet_pass(run: Run, k: int, traced: bool) -> dict:
     return {"decisions": decisions, "jobs_per_s": len(jobs) / timed_s}
 
 
-def fleet_libra_batch(run: Run) -> None:
+def fleet_libra_wal(run: Run) -> None:
     if run.trace:
         twin = _fleet_pass(run, 0, traced=False)
         run.totals, run.layers, run.tracer = Totals(), Layers(), Tracer()
@@ -787,17 +658,15 @@ def fleet_libra_batch(run: Run) -> None:
             checks.same_decisions("untraced twin", res["decisions"], twin["decisions"])
             run.notes["traced_pass0_jobs_per_s"] = res["jobs_per_s"]
     while len(run.totals.setup_s) < MIN_SETUP_SAMPLES:
-        _, _, prog, setup = _fleet_start(run, len(run.totals.setup_s))
+        _, _, _, prog, setup = _fleet_start(run, len(run.totals.setup_s))
         prog.stop()
         run.totals.setup_s.append(setup)
 
 
 WORKLOADS: dict[str, Callable[[Run], None]] = {
     "engine-librarisk": engine_librarisk,
-    "http-edf-wal": http_edf_wal,
-    "fleet-libra-batch": fleet_libra_batch,
+    "fleet-libra-wal": fleet_libra_wal,
 }
-
 
 def passes_for(workload: str, seconds: int) -> int:
     return max(MIN_PASSES, round(seconds / PASS_SECONDS[workload]))
@@ -847,14 +716,16 @@ def main(argv: Optional[list[str]] = None) -> int:
     steal1, total1 = cpu_ticks()
     totals = run.totals
     e2e = totals.end_to_end()
-    # The p99 and the rate over wall time, steal included, are printed,
-    # not gated: on this shared host the hypervisor's steal makes their
-    # run-to-run spread wider than any bound the benchmark may set (README).
+    # The p99 and the rate and median over wall time, steal included, are
+    # printed, not gated: on this shared host the hypervisor's steal makes
+    # their run-to-run spread wider than any bound the benchmark may set
+    # (README).
     tail = p99(totals.latencies)
     report: dict[str, Any] = {
         "workload": run.workload, "seed": run.seed, "passes": run.passes,
         "latency_samples": len(totals.latencies),
         "wall_jobs_per_s": totals.jobs / totals.timed_s,
+        "wall_latency_p50_ms": median(totals.latencies) * 1e3,
         "timed_steal_pct": 100.0 * totals.stolen_s / totals.timed_s,
         "latency_p99_ms": None if tail is None else tail * 1e3,
         "host_steal_pct": 100.0 * (steal1 - steal0) / max(total1 - total0, 1),

@@ -24,7 +24,7 @@ from lib import HERE, ROOT, WORK
 RUNS = 10
 SETS = {"A": range(1, RUNS + 1), "B": range(RUNS + 1, 2 * RUNS + 1)}
 #: Report-line figures shown beside the gated metrics.
-REPORTED = ("latency_p99_ms", "wall_jobs_per_s", "timed_steal_pct")
+REPORTED = ("latency_p99_ms", "wall_latency_p50_ms", "wall_jobs_per_s", "timed_steal_pct")
 
 
 def run_once(workload: str, seed: int, seconds: int) -> dict:
